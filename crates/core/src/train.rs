@@ -26,7 +26,8 @@ use gcon_nn::{Adam, Optimizer};
 use rand::Rng;
 
 /// Minimizes a [`PerturbedObjective`] with full-batch Adam from `theta0`.
-/// Returns `(Θ*, iterations, final gradient norm)`.
+/// Returns `(Θ*, update steps taken, final gradient norm)`; the step count
+/// is `max_iters` when the budget runs out before convergence.
 ///
 /// The objective is `(Λ̄+Λ′)`-strongly convex (Lemma 4 + Fact 1), so the
 /// minimizer is unique; convergence is checked on the gradient norm.
@@ -38,18 +39,18 @@ pub fn minimize(
     let mut theta = theta0;
     let mut opt = Adam::new(opt_cfg.lr);
     let mut grad_norm = f64::INFINITY;
-    let mut iters = 0;
-    for it in 0..opt_cfg.max_iters {
+    let mut steps = 0;
+    for _ in 0..opt_cfg.max_iters {
         let (_, grad) = obj.value_and_grad(&theta);
         grad_norm = grad.frobenius_norm();
-        iters = it;
         if grad_norm < opt_cfg.grad_tol {
             break;
         }
         opt.begin_step();
         opt.update(0, theta.as_mut_slice(), grad.as_slice());
+        steps += 1;
     }
-    (theta, iters, grad_norm)
+    (theta, steps, grad_norm)
 }
 
 /// Minimizes a [`PerturbedObjective`] with plain gradient descent plus
@@ -58,7 +59,8 @@ pub fn minimize(
 /// Exists to demonstrate (and test) the Theorem 1 remark that GCON's
 /// privacy is *optimizer-independent*: this method and [`minimize`] (Adam)
 /// converge to the same unique minimizer of the strongly-convex objective,
-/// and neither touches the privacy calibration.
+/// and neither touches the privacy calibration. Returns the same triple
+/// as [`minimize`], counting accepted line-search steps.
 pub fn minimize_gd(
     obj: &PerturbedObjective<'_>,
     theta0: Mat,
@@ -67,11 +69,10 @@ pub fn minimize_gd(
     let mut theta = theta0;
     let mut step = 1.0_f64;
     let mut grad_norm = f64::INFINITY;
-    let mut iters = 0;
-    for it in 0..opt_cfg.max_iters {
+    let mut steps = 0;
+    for _ in 0..opt_cfg.max_iters {
         let (value, grad) = obj.value_and_grad(&theta);
         grad_norm = grad.frobenius_norm();
-        iters = it;
         if grad_norm < opt_cfg.grad_tol {
             break;
         }
@@ -85,6 +86,7 @@ pub fn minimize_gd(
             if obj.value(&cand) <= value - 0.5 * t * g_sq {
                 theta = cand;
                 step = t;
+                steps += 1;
                 accepted = true;
                 break;
             }
@@ -94,7 +96,7 @@ pub fn minimize_gd(
             break; // step underflow: numerically at the optimum
         }
     }
-    (theta, iters, grad_norm)
+    (theta, steps, grad_norm)
 }
 
 /// Trains GCON on `(graph, features, labels)` under `(eps, delta)` edge-DP.
@@ -287,6 +289,54 @@ mod tests {
         assert!(g2 < 1e-7, "GD grad {g2}");
         for (a, b_) in t_adam.as_slice().iter().zip(t_gd.as_slice()) {
             assert!((a - b_).abs() < 1e-6, "optimizers disagree: {a} vs {b_}");
+        }
+    }
+
+    /// A small perturbed objective for the step-count tests.
+    fn step_count_objective(seed: u64) -> (Mat, Mat, Mat) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut z = Mat::uniform(12, 4, 1.0, &mut rng);
+        z.normalize_rows_l2();
+        let mut y = Mat::zeros(12, 2);
+        for i in 0..12 {
+            y.set(i, i % 2, 1.0);
+        }
+        let b = Mat::uniform(4, 2, 0.3, &mut rng);
+        (z, y, b)
+    }
+
+    /// Regression: a run that exhausts its budget took `max_iters` update
+    /// steps, not `max_iters − 1`.
+    #[test]
+    fn exhausted_budget_reports_every_step_taken() {
+        let (z, y, b) = step_count_objective(84);
+        let loss = ConvexLoss::new(LossKind::MultiLabelSoftMargin, 2);
+        let obj = PerturbedObjective::new(&z, &y, loss, 0.5, &b);
+        let cfg = OptimizerConfig { lr: 0.05, max_iters: 7, grad_tol: 0.0 };
+        assert_eq!(minimize(&obj, Mat::zeros(4, 2), &cfg).1, 7);
+        assert_eq!(minimize_gd(&obj, Mat::zeros(4, 2), &cfg).1, 7);
+    }
+
+    /// On convergence the count is the number of updates before the
+    /// gradient test passed: zero when the start already satisfies it,
+    /// and a re-run with exactly that budget lands on the same Θ bitwise.
+    #[test]
+    fn converged_run_reports_the_steps_it_took() {
+        let (z, y, b) = step_count_objective(85);
+        let loss = ConvexLoss::new(LossKind::MultiLabelSoftMargin, 2);
+        let obj = PerturbedObjective::new(&z, &y, loss, 0.5, &b);
+        let loose = OptimizerConfig { lr: 0.05, max_iters: 50, grad_tol: f64::INFINITY };
+        assert_eq!(minimize(&obj, Mat::zeros(4, 2), &loose).1, 0);
+        assert_eq!(minimize_gd(&obj, Mat::zeros(4, 2), &loose).1, 0);
+
+        let cfg = OptimizerConfig { lr: 0.05, max_iters: 20_000, grad_tol: 1e-6 };
+        for run in [minimize, minimize_gd] {
+            let (theta, steps, grad_norm) = run(&obj, Mat::zeros(4, 2), &cfg);
+            assert!(grad_norm < cfg.grad_tol && steps > 0 && steps < cfg.max_iters);
+            let budget = OptimizerConfig { max_iters: steps, grad_tol: 0.0, ..cfg };
+            let (replay, replay_steps, _) = run(&obj, Mat::zeros(4, 2), &budget);
+            assert_eq!(replay_steps, steps);
+            assert_eq!(replay.as_slice(), theta.as_slice(), "same steps, same Θ");
         }
     }
 

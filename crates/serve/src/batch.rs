@@ -1,36 +1,29 @@
 //! Dynamic micro-batching: coalesce concurrent single-node queries into one
 //! head forward per batch window.
 //!
-//! # Protocol
-//!
-//! Requests join the currently *open* window (a generation counter names
-//! it). The first request of a window becomes its **leader**: it waits until
-//! the window fills ([`BatchConfig::max_batch`]) or its latency budget
-//! ([`BatchConfig::max_wait`]) elapses, closes the window, runs **one**
-//! gathered head forward for the whole batch on the shared workspace — the
-//! GEMM itself parallelizes across `gcon_runtime::pool()` like every other
-//! kernel in the workspace — writes each result row into the submitting
-//! thread's output buffer, and wakes the followers. Followers just block
-//! until their generation completes.
-//!
-//! Windows close in generation order and execute in generation order, so a
-//! window's results are published (`completed_gen`) only after its buffers
-//! are written; a follower that observes `completed_gen >= its generation`
-//! under the queue mutex therefore reads a fully-written buffer
-//! (release/acquire via the mutex).
+//! Queries ride the shared generation window (`crate::window`): the first
+//! query of a window leads it, waits until the window fills
+//! ([`BatchConfig::max_batch`]) or its budget ([`BatchConfig::max_wait`])
+//! elapses, then runs **one** gathered head forward for the whole window on
+//! the shared workspace — the GEMM itself parallelizes across
+//! `gcon_runtime::pool()` like every other kernel in the workspace — and
+//! writes each result row into the output buffer its submitter moved into
+//! the window. Each submitter gets its own buffer back once the window is
+//! published.
 //!
 //! # Steady-state allocation
 //!
-//! None per batch: the request vectors are recycled through a spare pool,
-//! the gathered-batch/logits buffers live in one `gcon_nn::HeadWorkspace`
+//! None per batch: the window recycles its item vectors, the
+//! gathered-batch/logits buffers live in one `gcon_nn::HeadWorkspace`
 //! (in the model's store dtype — see `ServingModel::store_dtype`), and
 //! results land in caller-owned `Vec`s via the `_into` convention. The
 //! queue allocates only while growing to its high-water batch size.
 
 use crate::model::{ServingModel, SessionWs};
+use crate::window::Window;
 use gcon_linalg::Mat;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// Window bounds for [`BatchQueue`].
 #[derive(Clone, Copy, Debug)]
@@ -67,30 +60,12 @@ pub struct BatchStats {
     pub largest_batch: usize,
 }
 
-/// One enqueued query: the node and the caller's output buffer, written by
-/// the window's leader before the generation is published.
+/// One windowed query: the node and the submitter's output buffer, moved
+/// into the window and handed back filled.
+#[derive(Default)]
 struct Request {
     node: usize,
-    out: *mut Vec<f64>,
-}
-
-// SAFETY: the raw pointer targets the submitting thread's `&mut Vec<f64>`,
-// which that thread does not touch between enqueue and the completion of
-// its generation (it is blocked in `query_into`); exactly one leader writes
-// through it, before publishing the generation under the queue mutex.
-unsafe impl Send for Request {}
-
-/// Mutex-guarded queue state.
-struct State {
-    /// Requests of the open window.
-    pending: Vec<Request>,
-    /// Generation currently accepting requests (first window is 1).
-    open_gen: u64,
-    /// Highest generation whose results are fully written (starts at 0).
-    completed_gen: u64,
-    /// Recycled request vectors (cleared before reuse).
-    spare: Vec<Vec<Request>>,
-    stats: BatchStats,
+    out: Vec<f64>,
 }
 
 /// Shared buffers of the (single, in-order) executing leader: the head
@@ -108,17 +83,11 @@ struct Exec {
 /// serving threads; every public method takes `&self`.
 pub struct BatchQueue<'m> {
     model: &'m ServingModel,
-    config: BatchConfig,
-    state: Mutex<State>,
-    /// Wakes leaders (window fills), prospective joiners (window turns
-    /// over), the in-order execution gate, and followers (generation
-    /// completes). One condvar, four predicates.
-    cv: Condvar,
+    window: Window<Request>,
+    /// Uncontended (the window admits one executing leader at a time); it
+    /// exists to hand out `&mut` to the shared workspace.
     exec: Mutex<Exec>,
 }
-
-// `BatchQueue: Sync` is auto-derived: `Request: Send` (above) makes `State`
-// `Send`, so both mutexes are `Sync`; no manual impl needed.
 
 impl<'m> BatchQueue<'m> {
     /// Creates a queue over `model` with the given window bounds.
@@ -129,15 +98,7 @@ impl<'m> BatchQueue<'m> {
         assert!(config.max_batch >= 1, "BatchQueue: max_batch must be ≥ 1");
         Self {
             model,
-            config,
-            state: Mutex::new(State {
-                pending: Vec::new(),
-                open_gen: 1,
-                completed_gen: 0,
-                spare: Vec::new(),
-                stats: BatchStats::default(),
-            }),
-            cv: Condvar::new(),
+            window: Window::new(config.max_batch, config.max_wait),
             exec: Mutex::new(Exec {
                 ws: model.session_ws(),
                 nodes: Vec::new(),
@@ -153,7 +114,8 @@ impl<'m> BatchQueue<'m> {
 
     /// Execution counters so far (batches, requests, largest batch).
     pub fn stats(&self) -> BatchStats {
-        self.state.lock().expect("BatchQueue: poisoned state").stats
+        let w = self.window.stats();
+        BatchStats { batches: w.windows, requests: w.items, largest_batch: w.largest }
     }
 
     /// Queries one node's logits, blocking until the batch window the
@@ -173,34 +135,8 @@ impl<'m> BatchQueue<'m> {
             "BatchQueue: query for node {node} but the store has {} nodes",
             self.model.num_nodes()
         );
-        let mut state = self.state.lock().expect("BatchQueue: poisoned state");
-        // Join the open window, waiting out a turnover if it is full.
-        loop {
-            if state.pending.len() < self.config.max_batch {
-                break;
-            }
-            let g = state.open_gen;
-            while state.open_gen == g {
-                state = self.cv.wait(state).expect("BatchQueue: poisoned state");
-            }
-        }
-        let my_gen = state.open_gen;
-        let is_leader = state.pending.is_empty();
-        state.pending.push(Request { node, out: out as *mut Vec<f64> });
-        if state.pending.len() >= self.config.max_batch {
-            // Window full: wake its (possibly sleeping) leader.
-            self.cv.notify_all();
-        }
-
-        if is_leader {
-            self.lead(state, my_gen);
-        } else {
-            while state.completed_gen < my_gen {
-                state = self.cv.wait(state).expect("BatchQueue: poisoned state");
-            }
-        }
-        // `out` was written by the leader (possibly this thread) before
-        // `completed_gen` advanced past `my_gen`.
+        let request = Request { node, out: std::mem::take(out) };
+        *out = self.window.submit(request, |_, batch| self.execute(batch)).out;
     }
 
     /// Allocating convenience for [`BatchQueue::query_into`].
@@ -217,72 +153,18 @@ impl<'m> BatchQueue<'m> {
         gcon_linalg::vecops::argmax(&out)
     }
 
-    /// Leader path: wait out the window, close it, execute in generation
-    /// order, publish, wake everyone.
-    fn lead(&self, mut state: std::sync::MutexGuard<'_, State>, my_gen: u64) {
-        // 1. Hold the window open until it fills or the budget elapses. A
-        //    budget too large to represent as a deadline (e.g.
-        //    `Duration::MAX`) means wait-until-full.
-        let deadline = Instant::now().checked_add(self.config.max_wait);
-        while state.pending.len() < self.config.max_batch {
-            state = match deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    self.cv
-                        .wait_timeout(state, deadline - now)
-                        .expect("BatchQueue: poisoned state")
-                        .0
-                }
-                None => self.cv.wait(state).expect("BatchQueue: poisoned state"),
-            };
+    /// Leader work: one gathered head forward for the whole window, then
+    /// scatter the rows into the submitters' buffers.
+    fn execute(&self, batch: &mut [Request]) {
+        let mut exec = self.exec.lock().expect("BatchQueue: poisoned exec");
+        let exec = &mut *exec;
+        exec.nodes.clear();
+        exec.nodes.extend(batch.iter().map(|r| r.node));
+        self.model.forward_widen_into(&exec.nodes, &mut exec.ws, &mut exec.logits64);
+        for (row, request) in batch.iter_mut().enumerate() {
+            request.out.clear();
+            request.out.extend_from_slice(exec.logits64.row(row));
         }
-
-        // 2. Close the window: later requests open generation `my_gen + 1`.
-        let fresh = state.spare.pop().unwrap_or_default();
-        let mut batch = std::mem::replace(&mut state.pending, fresh);
-        state.open_gen += 1;
-        self.cv.notify_all(); // joiners blocked on a full window
-
-        // 3. In-order gate: generations close in order, and executing them
-        //    in the same order guarantees `completed_gen` is exact — a
-        //    follower of generation g can only wake after g's buffers are
-        //    written, even if a later leader overtakes on the OS scheduler.
-        while state.completed_gen != my_gen - 1 {
-            state = self.cv.wait(state).expect("BatchQueue: poisoned state");
-        }
-        drop(state);
-
-        // 4. One gathered head forward for the whole window, then scatter
-        //    the rows to the submitters. The gate above admits one leader at
-        //    a time, so the exec lock is uncontended (it exists to hand out
-        //    `&mut` to the shared workspace).
-        {
-            let mut exec = self.exec.lock().expect("BatchQueue: poisoned exec");
-            let exec = &mut *exec;
-            exec.nodes.clear();
-            exec.nodes.extend(batch.iter().map(|r| r.node));
-            self.model.forward_widen_into(&exec.nodes, &mut exec.ws, &mut exec.logits64);
-            for (row, request) in batch.iter().enumerate() {
-                // SAFETY: per the module protocol the submitting thread is
-                // blocked and no other leader touches this window.
-                let out = unsafe { &mut *request.out };
-                out.clear();
-                out.extend_from_slice(exec.logits64.row(row));
-            }
-        }
-
-        // 5. Publish and recycle.
-        let mut state = self.state.lock().expect("BatchQueue: poisoned state");
-        state.completed_gen = my_gen;
-        state.stats.batches += 1;
-        state.stats.requests += batch.len() as u64;
-        state.stats.largest_batch = state.stats.largest_batch.max(batch.len());
-        batch.clear();
-        state.spare.push(batch);
-        self.cv.notify_all();
     }
 }
 

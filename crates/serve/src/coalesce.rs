@@ -17,16 +17,15 @@
 //!
 //! # Protocol
 //!
-//! Identical to [`BatchQueue`](crate::BatchQueue) (see that module's docs):
-//! windows are named by a generation counter, the first submitter of a
-//! window leads it (waits until [`CoalesceConfig::max_pending`] edits
-//! arrive or [`CoalesceConfig::max_delay`] elapses, closes the window,
-//! executes in window order behind an in-order gate, writes every
-//! submitter's outcome, publishes, wakes the followers), later submitters
-//! just block until their window completes. Windows execute in order, so
-//! the merged application is exactly the sequential application of the
-//! window's deltas in arrival order — pinned by
-//! `CsrDelta::merge`'s equivalence proptest and the coalescing test below.
+//! Edits ride the shared generation window (`crate::window`), the same one
+//! [`BatchQueue`](crate::BatchQueue) queries ride: the first edit of a
+//! window leads it, waits until [`CoalesceConfig::max_pending`] edits
+//! arrive or [`CoalesceConfig::max_delay`] elapses, merges and refreshes
+//! once behind the window's in-order gate, and hands every submitter the
+//! window's outcome. Windows execute in order, so the merged application
+//! is exactly the sequential application of the window's deltas in
+//! arrival order — pinned by `CsrDelta::merge`'s equivalence proptest and
+//! the coalescing test below.
 //!
 //! # Equivalence contract
 //!
@@ -55,10 +54,11 @@
 //! thread per id range).
 
 use crate::dynamic::{DeltaOutcome, DynamicServingModel};
+use crate::window::Window;
 use gcon_graph::CsrDelta;
 use gcon_linalg::Mat;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Window bounds for [`DeltaCoalescer`] — the mutation-side analogue of
 /// [`BatchConfig`](crate::BatchConfig).
@@ -134,31 +134,13 @@ pub struct CoalesceStats {
     pub cancelled_windows: u64,
 }
 
-/// One enqueued edit: the delta, its onboard feature rows, and the
-/// submitting thread's outcome slot, written by the window's leader before
-/// the generation is published.
-struct Request {
+/// One windowed edit: the delta and its onboard feature rows, moved into
+/// the window, and the outcome slot handed back filled.
+#[derive(Default)]
+struct Edit {
     delta: CsrDelta,
     feats: Option<Mat>,
-    out: *mut Option<DeltaOutcome>,
-}
-
-// SAFETY: the raw pointer targets the submitting thread's
-// `&mut Option<DeltaOutcome>`, which that thread does not touch between
-// enqueue and the completion of its generation (it is blocked in
-// `submit`); exactly one leader writes through it, before publishing the
-// generation under the queue mutex.
-unsafe impl Send for Request {}
-
-/// Mutex-guarded queue state (same shape as `BatchQueue`'s).
-struct State {
-    pending: Vec<Request>,
-    /// Window currently accepting edits (first window is 1).
-    open_gen: u64,
-    /// Highest window whose outcomes are fully written (starts at 0).
-    completed_gen: u64,
-    spare: Vec<Vec<Request>>,
-    stats: CoalesceStats,
+    outcome: Option<DeltaOutcome>,
 }
 
 /// A delta-burst coalescing scheduler over a [`DynamicServingModel`] — see
@@ -169,12 +151,8 @@ struct State {
 /// snapshot the model as usual.
 pub struct DeltaCoalescer<'m> {
     model: &'m DynamicServingModel,
-    config: CoalesceConfig,
-    state: Mutex<State>,
-    /// Wakes leaders (window fills), prospective joiners (window turns
-    /// over), the in-order execution gate, and followers (window
-    /// completes). One condvar, four predicates.
-    cv: Condvar,
+    window: Window<Edit>,
+    cancelled_windows: AtomicU64,
 }
 
 impl<'m> DeltaCoalescer<'m> {
@@ -186,15 +164,8 @@ impl<'m> DeltaCoalescer<'m> {
         assert!(config.max_pending >= 1, "DeltaCoalescer: max_pending must be ≥ 1");
         Self {
             model,
-            config,
-            state: Mutex::new(State {
-                pending: Vec::new(),
-                open_gen: 1,
-                completed_gen: 0,
-                spare: Vec::new(),
-                stats: CoalesceStats::default(),
-            }),
-            cv: Condvar::new(),
+            window: Window::new(config.max_pending, config.max_delay),
+            cancelled_windows: AtomicU64::new(0),
         }
     }
 
@@ -205,7 +176,13 @@ impl<'m> DeltaCoalescer<'m> {
 
     /// Execution counters so far.
     pub fn stats(&self) -> CoalesceStats {
-        self.state.lock().expect("DeltaCoalescer: poisoned state").stats
+        let w = self.window.stats();
+        CoalesceStats {
+            windows: w.windows,
+            edits: w.items,
+            largest_window: w.largest,
+            cancelled_windows: self.cancelled_windows.load(Ordering::Relaxed),
+        }
     }
 
     /// Submits one edit and blocks until the window it lands in has
@@ -225,109 +202,32 @@ impl<'m> DeltaCoalescer<'m> {
             "DeltaCoalescer::submit: delta onboards {num_new} nodes but {provided} feature rows \
              were given"
         );
-        let mut out: Option<DeltaOutcome> = None;
-        let mut state = self.state.lock().expect("DeltaCoalescer: poisoned state");
-        // Join the open window, waiting out a turnover if it is full.
-        loop {
-            if state.pending.len() < self.config.max_pending {
-                break;
-            }
-            let g = state.open_gen;
-            while state.open_gen == g {
-                state = self.cv.wait(state).expect("DeltaCoalescer: poisoned state");
-            }
-        }
-        let my_gen = state.open_gen;
-        let is_leader = state.pending.is_empty();
-        state.pending.push(Request {
-            delta,
-            feats: onboard_features,
-            out: &mut out as *mut Option<DeltaOutcome>,
-        });
-        if state.pending.len() >= self.config.max_pending {
-            // Window full: wake its (possibly sleeping) leader.
-            self.cv.notify_all();
-        }
-
-        if is_leader {
-            self.lead(state, my_gen);
-        } else {
-            while state.completed_gen < my_gen {
-                state = self.cv.wait(state).expect("DeltaCoalescer: poisoned state");
-            }
-        }
-        out.expect("window leader writes every outcome before publishing")
+        let edit = Edit { delta, feats: onboard_features, outcome: None };
+        self.window
+            .submit(edit, |_, window| self.execute(window))
+            .outcome
+            .expect("window leader writes every outcome before publishing")
     }
 
-    /// Leader path: wait out the window, close it, merge, refresh once in
-    /// window order, publish, wake everyone.
-    fn lead(&self, mut state: std::sync::MutexGuard<'_, State>, my_gen: u64) {
-        // 1. Hold the window open until it fills or the budget elapses.
-        let deadline = Instant::now().checked_add(self.config.max_delay);
-        while state.pending.len() < self.config.max_pending {
-            state = match deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    self.cv
-                        .wait_timeout(state, deadline - now)
-                        .expect("DeltaCoalescer: poisoned state")
-                        .0
-                }
-                None => self.cv.wait(state).expect("DeltaCoalescer: poisoned state"),
-            };
+    /// Leader work: merge the window FIFO, refresh once, and give every
+    /// edit the window's outcome. The window admits one leader at a time,
+    /// so `apply_delta`'s internal serialization is uncontended here.
+    fn execute(&self, window: &mut [Edit]) {
+        let (first, rest) = window.split_first_mut().expect("a window has at least its leader");
+        let mut merged = std::mem::take(&mut first.delta);
+        let mut feat_blocks: Vec<Mat> = first.feats.take().into_iter().collect();
+        for edit in rest.iter_mut() {
+            merged.merge(&edit.delta);
+            feat_blocks.extend(edit.feats.take());
         }
-
-        // 2. Close the window: later edits open generation `my_gen + 1`.
-        let fresh = state.spare.pop().unwrap_or_default();
-        let mut batch = std::mem::replace(&mut state.pending, fresh);
-        state.open_gen += 1;
-        self.cv.notify_all(); // joiners blocked on a full window
-
-        // 3. In-order gate: windows close in order and refresh in the same
-        //    order, so the merged application is the sequential application
-        //    of the window's deltas in arrival order, and a follower that
-        //    wakes on `completed_gen >= my_gen` reads a written outcome.
-        while state.completed_gen != my_gen - 1 {
-            state = self.cv.wait(state).expect("DeltaCoalescer: poisoned state");
-        }
-        drop(state);
-
-        // 4. Merge the window FIFO and refresh once. The gate admits one
-        //    leader at a time, so `apply_delta`'s internal serialization is
-        //    uncontended from here.
-        let mut drain = batch.drain(..);
-        let first = drain.next().expect("a window has at least its leader");
-        let mut merged = first.delta;
-        let mut feat_blocks: Vec<Mat> = first.feats.into_iter().collect();
-        let outs: Vec<*mut Option<DeltaOutcome>> = std::iter::once(first.out)
-            .chain(drain.map(|r| {
-                merged.merge(&r.delta);
-                feat_blocks.extend(r.feats);
-                r.out
-            }))
-            .collect();
         let feats = vstack(&feat_blocks);
         let outcome = self.model.apply_delta(&merged, feats.as_ref());
-        let cancelled = outcome.affected_rows == 0 && outcome.onboarded.is_empty();
-        for &slot in &outs {
-            // SAFETY: per the module protocol the submitting thread is
-            // blocked and no other leader touches this window.
-            unsafe { *slot = Some(outcome.clone()) };
+        if outcome.affected_rows == 0 && outcome.onboarded.is_empty() {
+            self.cancelled_windows.fetch_add(1, Ordering::Relaxed);
         }
-
-        // 5. Publish and recycle.
-        let mut state = self.state.lock().expect("DeltaCoalescer: poisoned state");
-        state.completed_gen = my_gen;
-        state.stats.windows += 1;
-        state.stats.edits += outs.len() as u64;
-        state.stats.largest_window = state.stats.largest_window.max(outs.len());
-        state.stats.cancelled_windows += u64::from(cancelled);
-        debug_assert!(batch.is_empty());
-        state.spare.push(batch);
-        self.cv.notify_all();
+        for edit in window.iter_mut() {
+            edit.outcome = Some(outcome.clone());
+        }
     }
 }
 
@@ -461,7 +361,7 @@ mod tests {
                 assert_eq!(outcome.generation, 0, "netted window must not publish");
             });
             // Ensure the insert leads the window so the remove nets it out.
-            while c.state.lock().unwrap().pending.is_empty() {
+            while c.window.pending() == 0 {
                 std::thread::yield_now();
             }
             scope.spawn(move || {
@@ -501,7 +401,7 @@ mod tests {
                 let outcome = c.submit(d1, Some(f1));
                 assert_eq!(outcome.onboarded, n0..n0 + 2, "window outcome covers the burst");
             });
-            while c.state.lock().unwrap().pending.is_empty() {
+            while c.window.pending() == 0 {
                 std::thread::yield_now();
             }
             scope.spawn(move || c.submit(d2, Some(f2)));

@@ -59,14 +59,12 @@
 //! | `GCON_FLEET_TIMEOUT_MS` | 5000 | coordinator→shard socket read/write timeout |
 
 use crate::client::GconClient;
+use crate::engine::{store_info, Engine, Handler, ServerHandle, Session};
 use crate::model::ServingModel;
-use crate::server::{ServerConfig, ServerHandle};
-use crate::wire::{
-    read_frame, write_frame, ErrorCode, Request, Response, ServerInfo, WireError, WireStats,
-    PROTO_VERSION,
-};
+use crate::server::ServerConfig;
+use crate::wire::{ErrorCode, Request, Response, ServerInfo, WireError, WireStats, PROTO_VERSION};
 use gcon_linalg::Mat;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -229,77 +227,45 @@ struct ShardState {
     model: Arc<ServingModel>,
 }
 
-/// A `gcond --shard` worker: a [`crate::Server`]-shaped TCP daemon that
-/// starts with **no store** and acquires one over the wire via
-/// `ShardAssign`. It answers `ShardQuery` (global node ids inside its
-/// range), `ShardFingerprint` (consensus payload), `Stats`, `Health`;
-/// plain `Query`/`Bulk` frames get [`ErrorCode::NotAssigned`] — clients
-/// must route through the [`Coordinator`].
+/// A `gcond --shard` worker: the fleet handler on the same connection
+/// engine as [`crate::Server`], starting with **no store** and acquiring one over the wire via `ShardAssign`. It answers
+/// `ShardQuery` (global node ids inside its range), `ShardFingerprint`
+/// (consensus payload), `Stats`, `Health`; plain `Query`/`Bulk` frames get
+/// [`ErrorCode::NotAssigned`] — clients must route through the
+/// [`Coordinator`].
 ///
 /// Unlike [`crate::Server`], the store is owned (swapped at runtime by
 /// reassignment) rather than borrowed, so the worker has no lifetime
 /// parameter. Assignment is process-global and survives reconnects —
 /// that is what makes the coordinator's reconnect-and-replay safe.
 pub struct ShardWorker {
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    config: ServerConfig,
+    engine: Engine,
     state: RwLock<Option<ShardState>>,
-    shutdown: Arc<AtomicBool>,
-    connections: AtomicU64,
-    requests: AtomicU64,
-    token_seq: AtomicU64,
 }
 
 impl ShardWorker {
     /// Binds `addr` (port 0 for ephemeral) with no assignment yet.
     pub fn bind(config: ServerConfig, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        assert!(config.max_frame >= 64, "ServerConfig::max_frame must be ≥ 64 bytes");
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        Ok(Self {
-            listener,
-            local_addr,
-            config,
-            state: RwLock::new(None),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            token_seq: AtomicU64::new(0x6763_6F6E_6453_0001), // "gcondS" seed
-        })
+        // Token seed: "gcondS".
+        let engine = Engine::bind(config, addr, 0x6763_6F6E_6453_0001)?;
+        Ok(Self { engine, state: RwLock::new(None) })
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.engine.local_addr()
     }
 
     /// A clonable handle that can stop this worker from another thread.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle::new(self.shutdown.clone())
+        self.engine.handle()
     }
 
     /// Accepts and serves connections until [`ServerHandle::stop`], then
     /// joins every connection thread and returns (blocks; run on a
     /// dedicated thread).
     pub fn run(&self) -> std::io::Result<()> {
-        std::thread::scope(|scope| {
-            while !self.shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        self.connections.fetch_add(1, Ordering::Relaxed);
-                        scope.spawn(move || self.serve_connection(stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(())
-        })
+        self.engine.run(self)
     }
 
     /// The current assignment's slice, if any (cloned `Arc` so the lock
@@ -309,19 +275,20 @@ impl ShardWorker {
         guard.as_ref().map(|s| (s.shard_id, s.row_start, s.model.clone()))
     }
 
+    /// Counter snapshot (the worker-side `Stats` answer): connections and
+    /// answered node rows.
+    pub fn stats(&self) -> WireStats {
+        self.engine.stats()
+    }
+}
+
+impl Handler for ShardWorker {
     /// What `HelloAck` announces: zeros before assignment (the
     /// coordinator knows the real shape; a worker without a store has
     /// nothing truthful to claim), the slice's shape after.
-    fn server_info(&self) -> ServerInfo {
+    fn info(&self) -> ServerInfo {
         match self.assigned() {
-            Some((_, _, model)) => ServerInfo {
-                proto: PROTO_VERSION,
-                mode: model.mode(),
-                dtype: model.store_dtype(),
-                nodes: model.num_nodes() as u64,
-                feature_dim: model.feature_dim() as u32,
-                classes: model.num_classes() as u32,
-            },
+            Some((_, _, model)) => store_info(&model),
             None => ServerInfo {
                 proto: PROTO_VERSION,
                 mode: crate::ServingMode::Public,
@@ -333,138 +300,27 @@ impl ShardWorker {
         }
     }
 
-    /// Counter snapshot (the worker-side `Stats` answer).
-    pub fn stats(&self) -> WireStats {
-        WireStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            batches: 0,
-            largest_batch: 0,
-            rejected_overload: 0,
-            quarantined: 0,
-            failovers: 0,
-            degraded: false,
-        }
+    fn healthy(&self) -> bool {
+        true
     }
 
-    fn serve_connection(&self, stream: TcpStream) {
-        if stream.set_read_timeout(Some(self.config.read_timeout)).is_err()
-            || stream.set_write_timeout(Some(self.config.write_timeout)).is_err()
-            || stream.set_nodelay(true).is_err()
-        {
-            return;
-        }
-        let mut reader = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let mut writer = std::io::BufWriter::new(stream);
-        let _ = self.session_loop(&mut reader, &mut writer);
-        let _ = std::io::Write::flush(&mut writer);
-    }
-
-    /// Same session shape as [`crate::Server`]: `Hello` handshake, token
-    /// check, fail-closed on malformed frames.
-    fn session_loop(
-        &self,
-        reader: &mut TcpStream,
-        writer: &mut std::io::BufWriter<TcpStream>,
-    ) -> Result<(), WireError> {
-        let mut token: Option<u64> = None;
-        loop {
-            let body = match read_frame(reader, self.config.max_frame) {
-                Ok(Some(body)) => body,
-                Ok(None) => return Ok(()),
-                Err(WireError::FrameTooLarge { .. }) => {
-                    self.reply_error(writer, ErrorCode::TooLarge, "frame exceeds server bound")?;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
-            let request = match Request::decode(&body) {
-                Ok(r) => r,
-                Err(_) => {
-                    self.reply_error(writer, ErrorCode::BadFrame, "undecodable request frame")?;
-                    return Ok(());
-                }
-            };
-            match (request, &mut token) {
-                (Request::Health, _) => {
-                    self.reply(writer, &Response::HealthReply { ok: true })?;
-                }
-                (Request::Bye, _) => return Ok(()),
-                (Request::Hello { proto }, tok @ None) => {
-                    if proto != PROTO_VERSION {
-                        self.reply_error(
-                            writer,
-                            ErrorCode::BadHandshake,
-                            "unsupported protocol version",
-                        )?;
-                        return Ok(());
-                    }
-                    let t = self
-                        .token_seq
-                        .fetch_add(1, Ordering::Relaxed)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    *tok = Some(t);
-                    self.reply(writer, &Response::HelloAck { token: t, info: self.server_info() })?;
-                }
-                (Request::Hello { .. }, Some(_)) => {
-                    self.reply_error(writer, ErrorCode::BadHandshake, "duplicate hello")?;
-                    return Ok(());
-                }
-                (req, Some(t)) => self.serve_authenticated(writer, req, *t)?,
-                (_, None) => {
-                    self.reply_error(writer, ErrorCode::BadHandshake, "hello required first")?;
-                    return Ok(());
-                }
-            }
-            std::io::Write::flush(writer)?;
-        }
-    }
-
-    fn serve_authenticated(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        request: Request,
-        session_token: u64,
-    ) -> Result<(), WireError> {
-        let presented = match &request {
-            Request::Query { token, .. }
-            | Request::Bulk { token, .. }
-            | Request::Stats { token }
-            | Request::ShardAssign { token, .. }
-            | Request::ShardQuery { token, .. }
-            | Request::ShardFingerprint { token, .. } => *token,
-            _ => unreachable!("serve_authenticated: unauthenticated opcode"),
-        };
-        if presented != session_token {
-            self.reply_error(writer, ErrorCode::BadToken, "wrong session token")?;
-            return Err(WireError::Malformed("token mismatch"));
-        }
-        self.requests.fetch_add(1, Ordering::Relaxed);
+    fn handle(&self, session: &mut Session<'_>, request: Request) -> Result<(), WireError> {
+        const NOT_ASSIGNED: &str = "no shard assigned to this worker yet";
         match request {
             Request::ShardAssign { shard_id, row_start, artifact, .. } => {
-                let model = match ServingModel::from_bytes(&artifact) {
-                    Ok(m) => m,
-                    Err(_) => {
-                        // Fail closed, keep the session: the coordinator
-                        // decides whether to re-ship.
-                        return self.reply_error(
-                            writer,
-                            ErrorCode::BadFrame,
-                            "undecodable shard artifact",
-                        );
-                    }
+                let Ok(model) = ServingModel::from_bytes(&artifact) else {
+                    // Fail closed, keep the session: the coordinator
+                    // decides whether to re-ship.
+                    return session.reply_error(ErrorCode::BadFrame, "undecodable shard artifact");
                 };
                 let rows = model.num_nodes() as u64;
                 *self.state.write().unwrap() =
                     Some(ShardState { shard_id, row_start, model: Arc::new(model) });
-                self.reply(writer, &Response::ShardReady { shard_id, rows })
+                session.reply(&Response::ShardReady { shard_id, rows })
             }
             Request::ShardQuery { nodes, .. } => {
                 let Some((_, row_start, model)) = self.assigned() else {
-                    return self.reply_not_assigned(writer);
+                    return session.reply_error(ErrorCode::NotAssigned, NOT_ASSIGNED);
                 };
                 let rows = model.num_nodes() as u64;
                 // Global → local translation; anything outside the
@@ -475,92 +331,44 @@ impl ShardWorker {
                     match node.checked_sub(row_start) {
                         Some(l) if l < rows => local.push(l as usize),
                         _ => {
-                            return self.reply_error(
-                                writer,
+                            return session.reply_error(
                                 ErrorCode::NodeOutOfRange,
                                 "node id outside this worker's assigned range",
                             );
                         }
                     }
                 }
-                self.stream_shard_logits(writer, &model, &local)
+                session.stream_logits(&model, &local, |start, cols, values| Response::ShardLogits {
+                    start,
+                    cols,
+                    values,
+                })
             }
             Request::ShardFingerprint { chunk_rows, .. } => {
                 let Some((_, _, model)) = self.assigned() else {
-                    return self.reply_not_assigned(writer);
+                    return session.reply_error(ErrorCode::NotAssigned, NOT_ASSIGNED);
                 };
                 let Ok(chunk) = usize::try_from(chunk_rows) else {
-                    return self.reply_error(writer, ErrorCode::BadFrame, "chunk size too large");
+                    return session.reply_error(ErrorCode::BadFrame, "chunk size too large");
                 };
                 if chunk == 0 {
-                    return self.reply_error(writer, ErrorCode::BadFrame, "chunk size must be ≥ 1");
+                    return session.reply_error(ErrorCode::BadFrame, "chunk size must be ≥ 1");
                 }
                 let fingerprints = model.chunk_fingerprints(chunk);
-                self.reply(writer, &Response::ShardFingerprintReply { chunk_rows, fingerprints })
+                session.reply(&Response::ShardFingerprintReply { chunk_rows, fingerprints })
             }
-            Request::Stats { .. } => self.reply(writer, &Response::StatsReply(self.stats())),
+            Request::Stats { .. } => session.reply(&Response::StatsReply(self.stats())),
             // Plain client traffic belongs to the coordinator (which knows
             // the global partition); a shard worker answers only for its
             // range and only via shard frames.
-            Request::Query { .. } | Request::Bulk { .. } => self.reply_error(
-                writer,
+            Request::Query { .. } | Request::Bulk { .. } => session.reply_error(
                 ErrorCode::NotAssigned,
                 "plain queries are not served by shard workers; route via the coordinator",
             ),
-            _ => unreachable!("serve_authenticated: unauthenticated opcode"),
+            Request::Hello { .. } | Request::Health | Request::Bye => {
+                unreachable!("the engine answers Hello/Health/Bye itself")
+            }
         }
-    }
-
-    /// Answers a `ShardQuery` as a bounded-size `ShardLogits` stream +
-    /// `BulkDone` — the same gathered-forward chunking as
-    /// [`crate::Server`]'s bulk path (a shard query is already a batch),
-    /// so answers are bitwise the batch-composition-invariant store
-    /// logits.
-    fn stream_shard_logits(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        model: &ServingModel,
-        local: &[usize],
-    ) -> Result<(), WireError> {
-        let cols = model.num_classes();
-        let rows_per_chunk = ((self.config.max_frame - 32) / (cols * 8).max(1)).max(1);
-        let mut session = model.session();
-        for (i, chunk) in local.chunks(rows_per_chunk).enumerate() {
-            let logits = session.logits_batch(chunk);
-            self.reply(
-                writer,
-                &Response::ShardLogits {
-                    start: (i * rows_per_chunk) as u64,
-                    cols: cols as u32,
-                    values: logits.as_slice().to_vec(),
-                },
-            )?;
-        }
-        self.reply(writer, &Response::BulkDone { total_rows: local.len() as u64 })
-    }
-
-    fn reply_not_assigned(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-    ) -> Result<(), WireError> {
-        self.reply_error(writer, ErrorCode::NotAssigned, "no shard assigned to this worker yet")
-    }
-
-    fn reply(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        response: &Response,
-    ) -> Result<(), WireError> {
-        write_frame(writer, &response.encode())
-    }
-
-    fn reply_error(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        code: ErrorCode,
-        message: &str,
-    ) -> Result<(), WireError> {
-        self.reply(writer, &Response::Error { code, message: message.to_string() })
     }
 }
 
@@ -1036,6 +844,29 @@ mod tests {
         let err = client.logits(0).unwrap_err();
         assert!(matches!(err, WireError::Server { code: ErrorCode::NotAssigned, .. }));
         teardown(handles, joins);
+    }
+
+    /// Regression: `WireStats::requests` counts answered node rows, so
+    /// control frames (assign, fingerprint, stats) must not bump it.
+    #[test]
+    fn worker_requests_count_answered_rows_only() {
+        let model = tiny_store();
+        let worker = ShardWorker::bind(ServerConfig::default(), "127.0.0.1:0").unwrap();
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| worker.run());
+            let mut client = GconClient::connect(worker.local_addr()).unwrap();
+            client.shard_assign(0, 0, &model.slice_bytes(0, model.num_nodes())).unwrap();
+            client.shard_fingerprints(16).unwrap();
+            assert_eq!(client.stats().unwrap().requests, 0);
+            let k = 5;
+            let nodes: Vec<u64> = (0..k).collect();
+            client.shard_query(&nodes, model.num_classes()).unwrap();
+            assert_eq!(client.stats().unwrap().requests, k);
+            assert_eq!(worker.stats().requests, k);
+            client.bye().unwrap();
+            worker.handle().stop();
+            running.join().unwrap().unwrap();
+        });
     }
 
     #[test]

@@ -112,19 +112,22 @@ mod batch;
 mod client;
 mod coalesce;
 mod dynamic;
+mod engine;
 pub mod fleet;
 mod model;
 mod server;
+mod window;
 pub mod wire;
 
 pub use batch::{BatchConfig, BatchQueue, BatchStats};
 pub use client::GconClient;
 pub use coalesce::{CoalesceConfig, CoalesceStats, DeltaCoalescer};
 pub use dynamic::{DeltaOutcome, DynamicServingModel, OnboardQuery, ServingGeneration};
+pub use engine::ServerHandle;
 pub use fleet::{ConsensusReport, Coordinator, FleetConfig, FleetError, FleetStats, ShardWorker};
 pub use gcon_core::InfRefreshKind;
 pub use model::{ServingMode, ServingModel, ServingSession, StoreDtype, F32_STORE_LOGIT_TOL};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig};
 
 /// Shared tiny trained model for this crate's unit tests (training once per
 /// test binary keeps each test cheap).

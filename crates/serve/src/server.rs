@@ -1,14 +1,17 @@
-//! The `gcond` serving daemon: a thread-per-connection TCP server over
-//! [`crate::wire`], feeding every query through one shared
-//! [`BatchQueue`](crate::BatchQueue).
+//! The `gcond` serving daemon: the single-store [`Handler`] on the shared
+//! connection engine (`crate::engine`), feeding every query through one
+//! shared [`BatchQueue`](crate::BatchQueue).
 //!
 //! # Design
 //!
-//! * **Thread-per-connection on `std::net`** — no async runtime, no
-//!   crates.io. Connections are cheap relative to queries here: the
-//!   expected workload is few long-lived clients each multiplexing many
-//!   queries, and the [`BatchQueue`] behind the socket is exactly the
-//!   leader/follower micro-batcher that turns those concurrent
+//! * **One engine, this handler** — accept loop, socket timeouts,
+//!   handshake, token check and fail-closed framing are the engine's (see
+//!   its session contract); this module answers `Query`, `Bulk` and
+//!   `Stats`, and refuses fleet frames with a typed error.
+//! * **Micro-batched queries** — connections are cheap relative to queries
+//!   here: the expected workload is few long-lived clients each
+//!   multiplexing many queries, and the [`BatchQueue`] behind the socket is
+//!   the leader/follower micro-batcher that turns those concurrent
 //!   per-connection threads into serving-efficient GEMM shapes.
 //! * **Bounded-inflight gate** — at most
 //!   [`ServerConfig::max_inflight`] requests may be inside the
@@ -18,27 +21,14 @@
 //!   silently growing an unbounded queue in front of the batcher (the
 //!   batcher's own condvar queue is the *only* queue, and the gate caps
 //!   it).
-//! * **Timeouts everywhere** — every connection socket gets
-//!   [`ServerConfig::read_timeout`] / [`ServerConfig::write_timeout`], so
-//!   an idle or stuck peer frees its thread instead of leaking it.
-//! * **Fail-closed framing** — all parsing happens in [`crate::wire`];
-//!   any malformed, oversized, or out-of-session frame is answered with a
-//!   typed `Error` frame (when the socket still works) and the connection
-//!   is closed. A hostile client can never panic the server.
-//!
-//! The accept loop runs non-blocking with a small poll sleep so
-//! [`ServerHandle::stop`] can interrupt it; worker threads are joined by
-//! scope exit, so [`Server::run`] returns only after every connection
-//! thread finished.
 
 use crate::batch::{BatchConfig, BatchQueue};
+use crate::engine::{store_info, Engine, Handler, ServerHandle, Session};
 use crate::model::ServingModel;
 use crate::wire::{
-    read_frame, write_frame, ErrorCode, Request, Response, ServerInfo, WireError, WireStats,
-    DEFAULT_MAX_FRAME, PROTO_VERSION,
+    ErrorCode, Request, Response, ServerInfo, WireError, WireStats, DEFAULT_MAX_FRAME,
 };
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -162,42 +152,14 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// Clonable remote control for a running [`Server`]: lets another thread
-/// (signal handler, test harness) stop the accept loop.
-#[derive(Clone, Debug)]
-pub struct ServerHandle {
-    shutdown: Arc<AtomicBool>,
-}
-
-impl ServerHandle {
-    /// Wraps a shutdown flag (shared with [`crate::fleet::ShardWorker`],
-    /// which reuses this handle type for its own accept loop).
-    pub(crate) fn new(shutdown: Arc<AtomicBool>) -> Self {
-        Self { shutdown }
-    }
-
-    /// Asks the server to stop accepting and return from [`Server::run`]
-    /// once in-flight connections drain (their sockets still honour the
-    /// read timeout, so drain is bounded).
-    pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-}
-
 /// A bound `gcond` server: the listener plus the shared serving state.
 /// Construct with [`Server::bind`], then block on [`Server::run`].
 pub struct Server<'m> {
+    engine: Engine,
     queue: BatchQueue<'m>,
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    config: ServerConfig,
     gate: InflightGate,
-    shutdown: Arc<AtomicBool>,
     degraded: Arc<AtomicBool>,
-    connections: AtomicU64,
-    requests: AtomicU64,
     rejected: AtomicU64,
-    token_seq: AtomicU64,
 }
 
 impl<'m> Server<'m> {
@@ -211,33 +173,25 @@ impl<'m> Server<'m> {
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<Self> {
         assert!(config.max_inflight >= 1, "ServerConfig::max_inflight must be ≥ 1");
-        assert!(config.max_frame >= 64, "ServerConfig::max_frame must be ≥ 64 bytes");
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        // Token seed: "gcond".
+        let engine = Engine::bind(config, addr, 0x6763_6F6E_6400_0001)?;
         Ok(Self {
+            engine,
             queue: BatchQueue::new(model, config.batch),
-            listener,
-            local_addr,
-            config,
             gate: InflightGate::new(config.max_inflight),
-            shutdown: Arc::new(AtomicBool::new(false)),
             degraded: Arc::new(AtomicBool::new(false)),
-            connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            token_seq: AtomicU64::new(0x6763_6F6E_6400_0001), // "gcond" seed
         })
     }
 
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.engine.local_addr()
     }
 
     /// A clonable handle that can stop this server from another thread.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle { shutdown: self.shutdown.clone() }
+        self.engine.handle()
     }
 
     /// The degraded-health flag surfaced in `Stats`/`Health` frames. A
@@ -253,26 +207,11 @@ impl<'m> Server<'m> {
     pub fn stats(&self) -> WireStats {
         let batch = self.queue.stats();
         WireStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
             batches: batch.batches,
             largest_batch: batch.largest_batch as u64,
             rejected_overload: self.rejected.load(Ordering::Relaxed),
-            quarantined: 0,
-            failovers: 0,
             degraded: self.degraded.load(Ordering::Relaxed),
-        }
-    }
-
-    fn server_info(&self) -> ServerInfo {
-        let model = self.queue.model();
-        ServerInfo {
-            proto: PROTO_VERSION,
-            mode: model.mode(),
-            dtype: model.store_dtype(),
-            nodes: model.num_nodes() as u64,
-            feature_dim: model.feature_dim() as u32,
-            classes: model.num_classes() as u32,
+            ..self.engine.stats()
         }
     }
 
@@ -280,212 +219,7 @@ impl<'m> Server<'m> {
     /// called, then joins every connection thread and returns. Run this on
     /// a dedicated thread (it blocks).
     pub fn run(&self) -> std::io::Result<()> {
-        std::thread::scope(|scope| {
-            while !self.shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        self.connections.fetch_add(1, Ordering::Relaxed);
-                        scope.spawn(move || self.serve_connection(stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(())
-        })
-    }
-
-    /// One connection's whole lifecycle; all errors end in a close, never
-    /// a propagated panic.
-    fn serve_connection(&self, stream: TcpStream) {
-        // A connection we cannot even configure is not worth serving.
-        if stream.set_read_timeout(Some(self.config.read_timeout)).is_err()
-            || stream.set_write_timeout(Some(self.config.write_timeout)).is_err()
-            || stream.set_nodelay(true).is_err()
-        {
-            return;
-        }
-        let mut reader = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let mut writer = std::io::BufWriter::new(stream);
-        let _ = self.session_loop(&mut reader, &mut writer);
-        let _ = writer.flush();
-    }
-
-    /// Reads frames until goodbye/disconnect/error. `Err` means "stop
-    /// serving this connection" — the error itself was already reported to
-    /// the peer where possible.
-    fn session_loop(
-        &self,
-        reader: &mut TcpStream,
-        writer: &mut std::io::BufWriter<TcpStream>,
-    ) -> Result<(), WireError> {
-        let mut token: Option<u64> = None;
-        loop {
-            let body = match read_frame(reader, self.config.max_frame) {
-                Ok(Some(body)) => body,
-                Ok(None) => return Ok(()), // clean disconnect
-                Err(WireError::FrameTooLarge { .. }) => {
-                    // The body was never read, so the stream is desynced:
-                    // report and close.
-                    self.reply_error(writer, ErrorCode::TooLarge, "frame exceeds server bound")?;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
-            let request = match Request::decode(&body) {
-                Ok(r) => r,
-                Err(_) => {
-                    self.reply_error(writer, ErrorCode::BadFrame, "undecodable request frame")?;
-                    return Ok(());
-                }
-            };
-            match (request, &mut token) {
-                (Request::Health, _) => {
-                    let degraded = self.degraded.load(Ordering::Relaxed);
-                    self.reply(writer, &Response::HealthReply { ok: !degraded })?;
-                }
-                (Request::Bye, _) => return Ok(()),
-                (Request::Hello { proto }, tok @ None) => {
-                    if proto != PROTO_VERSION {
-                        self.reply_error(
-                            writer,
-                            ErrorCode::BadHandshake,
-                            "unsupported protocol version",
-                        )?;
-                        return Ok(());
-                    }
-                    // Session token: a cheap per-connection nonce (counter
-                    // diffused by the splitmix64 multiplier), not a
-                    // credential — it catches desynced/replayed frames.
-                    let t = self
-                        .token_seq
-                        .fetch_add(1, Ordering::Relaxed)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    *tok = Some(t);
-                    self.reply(writer, &Response::HelloAck { token: t, info: self.server_info() })?;
-                }
-                (Request::Hello { .. }, Some(_)) => {
-                    self.reply_error(writer, ErrorCode::BadHandshake, "duplicate hello")?;
-                    return Ok(());
-                }
-                (req, Some(t)) => self.serve_authenticated(writer, req, *t)?,
-                (_, None) => {
-                    self.reply_error(writer, ErrorCode::BadHandshake, "hello required first")?;
-                    return Ok(());
-                }
-            }
-            writer.flush()?;
-        }
-    }
-
-    /// Post-handshake requests. Token mismatches close the connection.
-    fn serve_authenticated(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        request: Request,
-        session_token: u64,
-    ) -> Result<(), WireError> {
-        let presented = match &request {
-            Request::Query { token, .. }
-            | Request::Bulk { token, .. }
-            | Request::Stats { token }
-            | Request::ShardAssign { token, .. }
-            | Request::ShardQuery { token, .. }
-            | Request::ShardFingerprint { token, .. } => *token,
-            // Health/Bye/Hello never reach here (handled by the caller).
-            _ => unreachable!("serve_authenticated: unauthenticated opcode"),
-        };
-        if presented != session_token {
-            self.reply_error(writer, ErrorCode::BadToken, "wrong session token")?;
-            return Err(WireError::Malformed("token mismatch"));
-        }
-        match request {
-            Request::Query { node, .. } => {
-                let n = self.queue.model().num_nodes() as u64;
-                if node >= n {
-                    return self.reply_error(
-                        writer,
-                        ErrorCode::NodeOutOfRange,
-                        "node id too large",
-                    );
-                }
-                let Some(_permit) = self.acquire_permit() else {
-                    return self.reply_overloaded(writer);
-                };
-                let mut values = Vec::new();
-                self.queue.query_into(node as usize, &mut values);
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                self.reply(writer, &Response::Logits { values })
-            }
-            Request::Bulk { nodes, .. } => {
-                let n = self.queue.model().num_nodes() as u64;
-                if nodes.iter().any(|&node| node >= n) {
-                    return self.reply_error(
-                        writer,
-                        ErrorCode::NodeOutOfRange,
-                        "node id too large",
-                    );
-                }
-                let Some(_permit) = self.acquire_permit() else {
-                    return self.reply_overloaded(writer);
-                };
-                self.stream_bulk(writer, &nodes)
-            }
-            Request::Stats { .. } => self.reply(writer, &Response::StatsReply(self.stats())),
-            // Fleet frames belong to shard workers (`crate::ShardWorker`);
-            // a plain single-store daemon answers them with a typed error
-            // instead of dropping the connection.
-            Request::ShardAssign { .. }
-            | Request::ShardQuery { .. }
-            | Request::ShardFingerprint { .. } => self.reply_error(
-                writer,
-                ErrorCode::NotAssigned,
-                "shard frames are served by gcond --shard workers",
-            ),
-            _ => unreachable!("serve_authenticated: unauthenticated opcode"),
-        }
-    }
-
-    /// Answers a bulk query as a bounded-size `BulkChunk` stream +
-    /// `BulkDone`. A bulk request is already a batch, so each chunk runs
-    /// as **one** gathered head forward on a connection-local
-    /// [`crate::ServingSession`] instead of being serialized through the
-    /// micro-batcher one node at a time — bitwise the same answers (the
-    /// store's logits are batch-composition-invariant), minus the
-    /// per-request window latency. The inflight permit held by the caller
-    /// still bounds concurrent bulk work.
-    fn stream_bulk(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        nodes: &[u64],
-    ) -> Result<(), WireError> {
-        let cols = self.queue.model().num_classes();
-        // Rows per chunk so a chunk frame stays under max_frame (32 bytes
-        // of header slack); ≥ 1 so progress is always made.
-        let rows_per_chunk = ((self.config.max_frame - 32) / (cols * 8).max(1)).max(1);
-        let mut session = self.queue.model().session();
-        let mut batch = Vec::with_capacity(rows_per_chunk.min(nodes.len()));
-        for (i, chunk) in nodes.chunks(rows_per_chunk).enumerate() {
-            batch.clear();
-            batch.extend(chunk.iter().map(|&n| n as usize));
-            let logits = session.logits_batch(&batch);
-            self.requests.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            self.reply(
-                writer,
-                &Response::BulkChunk {
-                    start: (i * rows_per_chunk) as u64,
-                    cols: cols as u32,
-                    values: logits.as_slice().to_vec(),
-                },
-            )?;
-        }
-        self.reply(writer, &Response::BulkDone { total_rows: nodes.len() as u64 })
+        self.engine.run(self)
     }
 
     fn acquire_permit(&self) -> Option<Permit<'_>> {
@@ -497,28 +231,74 @@ impl<'m> Server<'m> {
         }
     }
 
-    fn reply(
+    /// Rejects out-of-range node ids and takes an inflight permit; `None`
+    /// means the typed refusal was already sent.
+    fn admit(
         &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        response: &Response,
-    ) -> Result<(), WireError> {
-        write_frame(writer, &response.encode())
+        session: &mut Session<'_>,
+        nodes: &[u64],
+    ) -> Result<Option<Permit<'_>>, WireError> {
+        let n = self.queue.model().num_nodes() as u64;
+        if nodes.iter().any(|&node| node >= n) {
+            session.reply_error(ErrorCode::NodeOutOfRange, "node id too large")?;
+            return Ok(None);
+        }
+        let permit = self.acquire_permit();
+        if permit.is_none() {
+            session.reply_error(ErrorCode::Overloaded, "inflight limit reached; retry")?;
+        }
+        Ok(permit)
+    }
+}
+
+impl Handler for Server<'_> {
+    fn info(&self) -> ServerInfo {
+        store_info(self.queue.model())
     }
 
-    fn reply_overloaded(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-    ) -> Result<(), WireError> {
-        self.reply_error(writer, ErrorCode::Overloaded, "inflight limit reached; retry")
+    fn healthy(&self) -> bool {
+        !self.degraded.load(Ordering::Relaxed)
     }
 
-    fn reply_error(
-        &self,
-        writer: &mut std::io::BufWriter<TcpStream>,
-        code: ErrorCode,
-        message: &str,
-    ) -> Result<(), WireError> {
-        self.reply(writer, &Response::Error { code, message: message.to_string() })
+    fn handle(&self, session: &mut Session<'_>, request: Request) -> Result<(), WireError> {
+        match request {
+            Request::Query { node, .. } => {
+                let Some(_permit) = self.admit(session, &[node])? else {
+                    return Ok(());
+                };
+                let mut values = Vec::new();
+                self.queue.query_into(node as usize, &mut values);
+                self.engine.answered(1);
+                session.reply(&Response::Logits { values })
+            }
+            // A bulk request is already a batch: it streams from a
+            // connection-local session instead of going through the
+            // micro-batcher one node at a time — bitwise the same answers,
+            // minus the per-request window latency. The permit still bounds
+            // concurrent bulk work.
+            Request::Bulk { nodes, .. } => {
+                let Some(_permit) = self.admit(session, &nodes)? else {
+                    return Ok(());
+                };
+                let nodes: Vec<usize> = nodes.iter().map(|&n| n as usize).collect();
+                session.stream_logits(self.queue.model(), &nodes, |start, cols, values| {
+                    Response::BulkChunk { start, cols, values }
+                })
+            }
+            Request::Stats { .. } => session.reply(&Response::StatsReply(self.stats())),
+            // Fleet frames belong to shard workers (`crate::ShardWorker`);
+            // a plain single-store daemon answers them with a typed error
+            // instead of dropping the connection.
+            Request::ShardAssign { .. }
+            | Request::ShardQuery { .. }
+            | Request::ShardFingerprint { .. } => session.reply_error(
+                ErrorCode::NotAssigned,
+                "shard frames are served by gcond --shard workers",
+            ),
+            Request::Hello { .. } | Request::Health | Request::Bye => {
+                unreachable!("the engine answers Hello/Health/Bye itself")
+            }
+        }
     }
 }
 

@@ -228,9 +228,10 @@ struct ShardState {
 }
 
 /// A `gcond --shard` worker: the fleet handler on the same connection
-/// engine as [`crate::Server`], starting with **no store** and acquiring one over the wire via `ShardAssign`. It answers
-/// `ShardQuery` (global node ids inside its range), `ShardFingerprint`
-/// (consensus payload), `Stats`, `Health`; plain `Query`/`Bulk` frames get
+/// engine as [`crate::Server`], starting with **no store** and acquiring
+/// one over the wire via `ShardAssign`. It answers `ShardQuery` (global
+/// node ids inside its range), `ShardFingerprint` (consensus payload),
+/// `Stats`, `Health`; plain `Query`/`Bulk` frames get
 /// [`ErrorCode::NotAssigned`] — clients must route through the
 /// [`Coordinator`].
 ///

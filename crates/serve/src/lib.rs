@@ -33,8 +33,9 @@
 //! The mutation side mirrors the query side: [`DynamicServingModel`]
 //! applies graph deltas incrementally and publishes immutable, versioned
 //! [`ServingGeneration`]s, and [`DeltaCoalescer`] batches concurrent edits
-//! the way [`BatchQueue`] batches queries — a burst of deltas merges into
-//! **one** refresh and one published generation per window.
+//! through the same batching window [`BatchQueue`] uses for queries — a
+//! burst of deltas merges into **one** refresh and one published
+//! generation per window.
 //!
 //! The networked tier puts all of this behind a socket: [`wire`] defines
 //! a hand-rolled, fail-closed length-prefixed frame protocol, [`Server`]
@@ -47,8 +48,9 @@
 //!
 //! The [`fleet`] layer scales the daemon horizontally: a [`Coordinator`]
 //! partitions the store into contiguous row-range shards, ships each
-//! slice to `gcond --shard` workers ([`ShardWorker`]) over the same wire
-//! protocol, scatter-gathers bulk queries, and — because serving is
+//! slice to `gcond --shard` workers ([`ShardWorker`], the second request
+//! handler on [`Server`]'s connection engine) over the same wire protocol,
+//! scatter-gathers bulk queries, and — because serving is
 //! bitwise-deterministic — cross-checks replicas by store *fingerprint*
 //! consensus, quarantining any replica whose bytes diverge and failing
 //! over when one dies.

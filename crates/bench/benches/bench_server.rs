@@ -5,7 +5,8 @@
 //! Three sections per run:
 //!
 //! - **serving paths** — per-query cost at batch ∈ {1, 8, 64} for the
-//!   in-process paths (`BatchQueue::query_into` at batch 1, gathered
+//!   in-process paths (a fresh `ServingSession::logits_into` at batch 1 —
+//!   what the server runs per `Query` — and gathered
 //!   `ServingSession::logits_batch` forwards at 8/64) and the networked
 //!   paths (`GconClient::logits` at batch 1, `GconClient::logits_bulk` at
 //!   8/64). The in-process/remote delta at each batch size is the wire +
@@ -20,7 +21,9 @@
 //!   store before timing, so the numbers describe the *same* computation.
 //!
 //! Results are printed and written machine-readably to `BENCH_server.json`
-//! at the workspace root (override with `GCON_BENCH_OUT`).
+//! at the workspace root (override with `GCON_BENCH_OUT`), together with
+//! the machine they were taken on: hardware threads, kernel dispatch tier
+//! and worker-pool width.
 //! `GCON_BENCH_QUICK=1` shrinks the dataset and rep counts for CI smoke
 //! runs; loopback TCP numbers on a loaded CI box are indicative, not
 //! stable — the committed JSON comes from an idle run.
@@ -28,13 +31,9 @@
 use gcon_bench::median_time_ns as time_ns;
 use gcon_core::train::train_gcon;
 use gcon_core::{GconConfig, PropagationStep};
-use gcon_serve::{
-    BatchConfig, BatchQueue, GconClient, Server, ServerConfig, ServingMode, ServingModel,
-    StoreDtype,
-};
+use gcon_serve::{GconClient, Server, ServerConfig, ServingMode, ServingModel, StoreDtype};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 struct Row {
     label: String,
@@ -132,19 +131,15 @@ fn main() {
     let mut qrng = StdRng::seed_from_u64(99);
     let batch_reps = if quick { 20 } else { 50 };
 
-    // In-process batch=1 through the micro-batcher (the queue the server
-    // itself uses for single queries).
-    let queue = BatchQueue::new(
-        &serving,
-        BatchConfig { max_batch: 64, max_wait: Duration::from_micros(200) },
-    );
+    // In-process batch=1 on a fresh session: what the server runs for
+    // each single-node query.
     let mut out = Vec::new();
     let node1 = qrng.gen_range(0..n);
     let ns = time_ns(batch_reps, || {
-        queue.query_into(node1, &mut out);
+        serving.session().logits_into(node1, &mut out);
         sink ^= out.len();
     });
-    rows.push(Row { label: "in-process batch=1 (BatchQueue)".into(), ns_per_query: ns });
+    rows.push(Row { label: "in-process batch=1 (fresh session)".into(), ns_per_query: ns });
 
     // In-process gathered forwards at 8/64 (what bulk answers run on).
     let mut session = serving.session();
@@ -206,6 +201,12 @@ fn main() {
 
     let mut json = String::from("{\n  \"bench\": \"server\",\n");
     json.push_str(&format!("  \"nodes\": {n},\n  \"quick\": {quick},\n"));
+    json.push_str(&format!(
+        "  \"machine\": {{ \"cores\": {}, \"kernel_tier\": \"{}\", \"pool_width\": {} }},\n",
+        std::thread::available_parallelism().map_or(1, |c| c.get()),
+        gcon_runtime::kernel_tier(),
+        gcon_runtime::configured_width()
+    ));
     json.push_str("  \"unit\": \"ns_per_query_median\",\n  \"paths\": [\n");
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(

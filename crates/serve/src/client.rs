@@ -6,7 +6,7 @@
 //! `BulkChunk` streams, and turns `Error` frames into
 //! [`WireError::Server`]. It is deliberately `&mut self` (one in-flight
 //! request per connection); open several clients for concurrency — the
-//! server micro-batches across connections.
+//! server answers each connection on its own thread.
 //!
 //! # Reconnect / retry
 //!

@@ -22,8 +22,9 @@
 //!   `BadFrame`; both close, since the stream may be desynced. A hostile
 //!   client can never panic the server.
 //!
-//! The accept loop polls a non-blocking listener with a small sleep so
-//! [`ServerHandle::stop`] can interrupt it; connection threads are joined
+//! The accept loop blocks in `accept`, so a new connection's thread starts
+//! as soon as the kernel hands it over; [`ServerHandle::stop`] wakes it
+//! with one loopback connection of its own. Connection threads are joined
 //! by scope exit, so [`Engine::run`] returns only after every one of them
 //! finished.
 
@@ -34,7 +35,7 @@ use crate::wire::{
     PROTO_VERSION,
 };
 use std::io::{BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,14 +46,21 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
+    /// Where a loopback connection reaches the listener.
+    wake: SocketAddr,
 }
 
 impl ServerHandle {
     /// Asks the server to stop accepting and return from its `run` once
     /// in-flight connections drain (their sockets still honour the read
-    /// timeout, so drain is bounded).
+    /// timeout, so drain is bounded). Sets the stop flag, then opens one
+    /// loopback connection so a `run` blocked in `accept` wakes and sees
+    /// it.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // A failure needs no retry: refused means the listener is gone, and
+        // a timeout means a full backlog, whose next accept sees the flag.
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
 }
 
@@ -94,7 +102,6 @@ impl Engine {
     ) -> std::io::Result<Self> {
         assert!(config.max_frame >= 64, "ServerConfig::max_frame must be ≥ 64 bytes");
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         Ok(Self {
             listener,
@@ -114,7 +121,14 @@ impl Engine {
 
     /// A clonable handle that stops [`Engine::run`] from another thread.
     pub(crate) fn handle(&self) -> ServerHandle {
-        ServerHandle { shutdown: self.shutdown.clone() }
+        let mut wake = self.local_addr;
+        // A wildcard bind is reachable over the same family's loopback.
+        match wake.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        ServerHandle { shutdown: self.shutdown.clone(), wake }
     }
 
     /// Counts `rows` answered node rows.
@@ -137,13 +151,17 @@ impl Engine {
     pub(crate) fn run(&self, handler: &impl Handler) -> std::io::Result<()> {
         std::thread::scope(|scope| {
             while !self.shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
+                let accepted = self.listener.accept();
+                // Checked again once `accept` returns: `stop` sets the
+                // flag before its wake-up connection arrives, so that
+                // connection is dropped unserved.
+                if self.shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                match accepted {
                     Ok((stream, _peer)) => {
                         self.connections.fetch_add(1, Ordering::Relaxed);
                         scope.spawn(move || self.serve_connection(handler, stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => return Err(e),

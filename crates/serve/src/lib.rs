@@ -23,12 +23,13 @@
 //!    multiply by `Θ_priv` on a reusable [`gcon_nn::HeadWorkspace`] —
 //!    a `batch × d × c` GEMM, independent of graph size.
 //!
-//! On top of the store, [`BatchQueue`] adds **dynamic micro-batching**:
-//! concurrent single-node requests are coalesced into one head forward per
-//! batch window (bounded batch size + latency budget), amortizing kernel
-//! dispatch and letting the pooled GEMM see serving-efficient shapes. Both
-//! layers follow the workspace-wide `_into` convention — after warm-up the
-//! steady state allocates nothing per batch.
+//! On top of the store, [`BatchQueue`] is an in-process **dynamic
+//! micro-batcher**: concurrent single-node requests are coalesced into one
+//! head forward per batch window (bounded batch size + latency budget).
+//! The daemon does not use it: a lone query would wait out the window for
+//! a forward that costs a few hundred nanoseconds. Both layers
+//! follow the workspace-wide `_into` convention — after warm-up the steady
+//! state allocates nothing per batch.
 //!
 //! The mutation side mirrors the query side: [`DynamicServingModel`]
 //! applies graph deltas incrementally and publishes immutable, versioned
@@ -40,7 +41,8 @@
 //! The networked tier puts all of this behind a socket: [`wire`] defines
 //! a hand-rolled, fail-closed length-prefixed frame protocol, [`Server`]
 //! is the thread-per-connection `gcond` daemon (session tokens, socket
-//! timeouts, a bounded-inflight gate in front of the [`BatchQueue`]), and
+//! timeouts, a bounded-inflight gate; each connection answers its queries
+//! on its own [`ServingSession`]), and
 //! [`GconClient`] is the matching blocking client. A store can be
 //! persisted with [`ServingModel::save`] and restored with
 //! [`ServingModel::load`] — a bitwise round-trip, so a daemon restart

@@ -1,6 +1,6 @@
 //! The `gcond` serving daemon: the single-store [`Handler`] on the shared
-//! connection engine (`crate::engine`), feeding every query through one
-//! shared [`BatchQueue`](crate::BatchQueue).
+//! connection engine (`crate::engine`), answering every query on the
+//! connection's own thread.
 //!
 //! # Design
 //!
@@ -8,21 +8,19 @@
 //!   handshake, token check and fail-closed framing are the engine's (see
 //!   its session contract); this module answers `Query`, `Bulk` and
 //!   `Stats`, and refuses fleet frames with a typed error.
-//! * **Micro-batched queries** — connections are cheap relative to queries
-//!   here: the expected workload is few long-lived clients each
-//!   multiplexing many queries, and the [`BatchQueue`] behind the socket is
-//!   the leader/follower micro-batcher that turns those concurrent
-//!   per-connection threads into serving-efficient GEMM shapes.
+//! * **Queries on the connection thread** — a `Query` is one dense head
+//!   forward on a fresh [`ServingSession`](crate::ServingSession) (a few
+//!   hundred nanoseconds), so it is answered where it arrives instead of
+//!   waiting in a shared batching window; a `Bulk` streams gathered
+//!   forwards the same way. Both are bitwise the store's logits
+//!   (batch-composition invariance).
 //! * **Bounded-inflight gate** — at most
-//!   [`ServerConfig::max_inflight`] requests may be inside the
-//!   [`BatchQueue`] at once. The gate **rejects** rather than queues: an
+//!   [`ServerConfig::max_inflight`] `Query`/`Bulk` requests may be in
+//!   service at once. The gate **rejects** rather than queues: an
 //!   over-limit request is answered immediately with
 //!   [`ErrorCode::Overloaded`] so the client can back off, instead of
-//!   silently growing an unbounded queue in front of the batcher (the
-//!   batcher's own condvar queue is the *only* queue, and the gate caps
-//!   it).
+//!   silently growing an unbounded queue of work in front of the store.
 
-use crate::batch::{BatchConfig, BatchQueue};
 use crate::engine::{store_info, Engine, Handler, ServerHandle, Session};
 use crate::model::ServingModel;
 use crate::wire::{
@@ -37,8 +35,8 @@ use std::time::Duration;
 /// environment variables (see [`ServerConfig::from_env`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Maximum requests allowed inside the [`BatchQueue`] concurrently;
-    /// excess requests are rejected with [`ErrorCode::Overloaded`].
+    /// Maximum `Query`/`Bulk` requests in service concurrently; excess
+    /// requests are rejected with [`ErrorCode::Overloaded`].
     /// Must be ≥ 1.
     pub max_inflight: usize,
     /// Per-connection socket read timeout (idle clients are disconnected).
@@ -48,20 +46,17 @@ pub struct ServerConfig {
     /// Maximum accepted frame-body length, bytes (also bounds response
     /// chunks). Must be ≥ 64 so a handshake always fits.
     pub max_frame: usize,
-    /// Micro-batching window of the underlying [`BatchQueue`].
-    pub batch: BatchConfig,
 }
 
 impl Default for ServerConfig {
     /// 64 in-flight requests, 30 s read / 10 s write timeouts,
-    /// [`DEFAULT_MAX_FRAME`], default [`BatchConfig`].
+    /// [`DEFAULT_MAX_FRAME`].
     fn default() -> Self {
         Self {
             max_inflight: 64,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             max_frame: DEFAULT_MAX_FRAME,
-            batch: BatchConfig::default(),
         }
     }
 }
@@ -109,14 +104,13 @@ impl ServerConfig {
                 "8 MiB",
                 |v| v.parse::<usize>().ok().filter(|&b| b >= 64),
             ),
-            batch: d.batch,
         }
     }
 }
 
-/// Counting gate bounding how many requests may occupy the
-/// [`BatchQueue`] at once. Reject-on-full (no wait queue): backpressure
-/// is surfaced to the client as [`ErrorCode::Overloaded`].
+/// Counting gate bounding how many requests may be in service at once.
+/// Reject-on-full (no wait queue): backpressure is surfaced to the client
+/// as [`ErrorCode::Overloaded`].
 #[derive(Debug)]
 struct InflightGate {
     permits: Mutex<usize>,
@@ -156,8 +150,10 @@ impl Drop for Permit<'_> {
 /// Construct with [`Server::bind`], then block on [`Server::run`].
 pub struct Server<'m> {
     engine: Engine,
-    queue: BatchQueue<'m>,
+    model: &'m ServingModel,
     gate: InflightGate,
+    /// Answered `Query` frames — one head forward each.
+    forwards: AtomicU64,
     degraded: Arc<AtomicBool>,
     rejected: AtomicU64,
 }
@@ -165,8 +161,8 @@ pub struct Server<'m> {
 impl<'m> Server<'m> {
     /// Binds `addr` (use port 0 for an ephemeral port; see
     /// [`Server::local_addr`]) over a frozen store. The store stays
-    /// borrowed for the server's lifetime — queries run through one shared
-    /// [`BatchQueue`] so concurrent connections micro-batch together.
+    /// borrowed for the server's lifetime; every connection answers from it
+    /// on its own thread.
     pub fn bind(
         model: &'m ServingModel,
         config: ServerConfig,
@@ -177,8 +173,9 @@ impl<'m> Server<'m> {
         let engine = Engine::bind(config, addr, 0x6763_6F6E_6400_0001)?;
         Ok(Self {
             engine,
-            queue: BatchQueue::new(model, config.batch),
+            model,
             gate: InflightGate::new(config.max_inflight),
+            forwards: AtomicU64::new(0),
             degraded: Arc::new(AtomicBool::new(false)),
             rejected: AtomicU64::new(0),
         })
@@ -203,12 +200,14 @@ impl<'m> Server<'m> {
         self.degraded.clone()
     }
 
-    /// Counter snapshot (the same numbers a `Stats` frame carries).
+    /// Counter snapshot (the same numbers a `Stats` frame carries). Each
+    /// answered `Query` is one single-row head forward, so `batches`
+    /// counts them and `largest_batch` is 1 once any query has run.
     pub fn stats(&self) -> WireStats {
-        let batch = self.queue.stats();
+        let forwards = self.forwards.load(Ordering::Relaxed);
         WireStats {
-            batches: batch.batches,
-            largest_batch: batch.largest_batch as u64,
+            batches: forwards,
+            largest_batch: forwards.min(1),
             rejected_overload: self.rejected.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             ..self.engine.stats()
@@ -238,7 +237,7 @@ impl<'m> Server<'m> {
         session: &mut Session<'_>,
         nodes: &[u64],
     ) -> Result<Option<Permit<'_>>, WireError> {
-        let n = self.queue.model().num_nodes() as u64;
+        let n = self.model.num_nodes() as u64;
         if nodes.iter().any(|&node| node >= n) {
             session.reply_error(ErrorCode::NodeOutOfRange, "node id too large")?;
             return Ok(None);
@@ -253,7 +252,7 @@ impl<'m> Server<'m> {
 
 impl Handler for Server<'_> {
     fn info(&self) -> ServerInfo {
-        store_info(self.queue.model())
+        store_info(self.model)
     }
 
     fn healthy(&self) -> bool {
@@ -267,21 +266,20 @@ impl Handler for Server<'_> {
                     return Ok(());
                 };
                 let mut values = Vec::new();
-                self.queue.query_into(node as usize, &mut values);
+                self.model.session().logits_into(node as usize, &mut values);
+                self.forwards.fetch_add(1, Ordering::Relaxed);
                 self.engine.answered(1);
                 session.reply(&Response::Logits { values })
             }
-            // A bulk request is already a batch: it streams from a
-            // connection-local session instead of going through the
-            // micro-batcher one node at a time — bitwise the same answers,
-            // minus the per-request window latency. The permit still bounds
-            // concurrent bulk work.
+            // A bulk request streams gathered forwards from a
+            // connection-local session; the permit bounds concurrent bulk
+            // work as it does single queries.
             Request::Bulk { nodes, .. } => {
                 let Some(_permit) = self.admit(session, &nodes)? else {
                     return Ok(());
                 };
                 let nodes: Vec<usize> = nodes.iter().map(|&n| n as usize).collect();
-                session.stream_logits(self.queue.model(), &nodes, |start, cols, values| {
+                session.stream_logits(self.model, &nodes, |start, cols, values| {
                     Response::BulkChunk { start, cols, values }
                 })
             }

@@ -210,9 +210,11 @@ pub struct WireStats {
     pub connections: u64,
     /// Queries answered (bulk counts each node).
     pub requests: u64,
-    /// Micro-batches executed by the underlying [`crate::BatchQueue`].
+    /// Head forwards run for single-node `Query` frames: one per answered
+    /// query (0 on a shard worker or a fleet coordinator).
     pub batches: u64,
-    /// Largest micro-batch executed.
+    /// Rows in the largest such forward: 1 once any `Query` was
+    /// answered, 0 before.
     pub largest_batch: u64,
     /// Requests rejected by the bounded-inflight gate.
     pub rejected_overload: u64,

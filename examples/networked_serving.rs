@@ -83,8 +83,8 @@ fn main() {
         assert!(client.health().expect("health"), "server is healthy");
         let stats = client.stats().expect("stats");
         println!(
-            "server stats: {} requests, {} micro-batches (largest {}), {} rejected",
-            stats.requests, stats.batches, stats.largest_batch, stats.rejected_overload
+            "server stats: {} node rows answered ({} single-node forwards), {} rejected",
+            stats.requests, stats.batches, stats.rejected_overload
         );
         client.bye().expect("bye");
         handle.stop();

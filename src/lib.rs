@@ -49,8 +49,9 @@
 //! - [`dp`]: mechanisms, Erlang/sphere sampling, RDP accountant.
 //! - [`datasets`]: Table II stand-ins, splits, metrics.
 //! - [`baselines`]: DP-SGD, DPGCN, LPGNet, GAP, ProGAP, MLP, non-DP GCN.
-//! - [`serve`]: batched inference serving — precomputed feature store +
-//!   dynamic micro-batcher, bitwise-equal to the `core::infer` entry points.
+//! - [`serve`]: inference serving — precomputed feature store, sessions,
+//!   the `gcond` daemon and its fleet, bitwise-equal to the `core::infer`
+//!   entry points.
 //! - [`runtime`]: the shared execution layer every kernel above runs on.
 //!
 //! The layer diagram, buffer-reuse convention, determinism policy and the

@@ -128,8 +128,8 @@ fn remote_answers_match_infer_bitwise_under_concurrent_clients() {
             scope.spawn(move || {
                 let mut client = GconClient::connect(&addr).expect("connect");
                 assert_eq!(client.info().nodes as usize, n);
-                // Single queries, striped per thread so the server's
-                // micro-batcher sees genuinely concurrent traffic.
+                // Single queries, striped per thread so the server answers
+                // genuinely concurrent traffic on its connection threads.
                 for q in 0..40 {
                     let node = (t * 37 + q * 11) % n;
                     let logits = client.logits(node as u64).expect("query");
